@@ -1,10 +1,11 @@
 """Pluggable array backends for the hot kernels.
 
-Every hot kernel — the Wilson-Clover hop sum and clover term, the
-coarse dense-block stencil, the aggregation transfers — dispatches
-through a thin :class:`~repro.backend.base.ArrayBackend` protocol, so a
-data-layout experiment is one registered subclass held to the NumPy
-baseline by the differential equivalence suite (``pytest -m backend``).
+The coarse-grid kernels — the dense-block stencil and the aggregation
+transfers — dispatch through a thin
+:class:`~repro.backend.base.ArrayBackend` protocol, so a data-layout
+experiment is one registered subclass held to the NumPy baseline by the
+differential equivalence suite (``pytest -m backend``).  The fine-grid
+Wilson-Clover operator runs one sites-last kernel under every backend.
 
 Selection, in priority order:
 

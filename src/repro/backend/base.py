@@ -3,12 +3,13 @@
 The paper's central claim (Figure 2) is that *data layout and exposed
 parallelism*, not the algorithm, decide whether the small coarse grids
 of a multigrid hierarchy saturate the hardware.  To make that an
-experiment instead of an argument, every hot kernel of this package —
-the Wilson-Clover hop sum, the clover/diagonal block multiply, the
-coarse dense-block stencil, and the aggregation transfers — dispatches
-through this thin protocol, so a layout variant is one subclass, and
-every variant is held to the NumPy baseline by the differential
-equivalence suite (``pytest -m backend``).
+experiment instead of an argument, the coarse-grid kernels of this
+package — the dense-block stencil, its hop sum and site blocks, and the
+aggregation transfers — dispatch through this thin protocol, so a
+layout variant is one subclass, and every variant is held to the NumPy
+baseline by the differential equivalence suite (``pytest -m backend``).
+The fine-grid Wilson-Clover operator does not dispatch: every backend
+runs its one sites-last kernel (:mod:`repro.dirac.mrhs`).
 
 A backend receives the *operator* (or transfer) plus raw ndarray data,
 never a wrapped field: it may stash packed/reordered layouts on the
@@ -79,45 +80,17 @@ class ArrayBackend:
     def hop_sum(self, op, v: np.ndarray) -> np.ndarray:
         """Sum of all eight signed hop terms of ``M v``.
 
-        Works for any :class:`~repro.dirac.stencil.StencilOperator`;
-        this is the term red-black Schur preconditioning applies twice
-        per matvec, so it is hot on every level.
+        Works for any :class:`~repro.dirac.stencil.StencilOperator`
+        that dispatches here (the coarse operators); this is the term
+        red-black Schur preconditioning applies twice per matvec.
         """
         return op.hop_sum_reference(v)
-
-    def clover_apply(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Apply per-site chiral blocks ``(V, 2, b, b)`` to ``(V, ns, nc)``.
-
-        The clover/diagonal term of the fine Wilson-Clover operator (and
-        its inverse — callers pass whichever block stack they mean).
-        """
-        vol, n_chi, b, _ = blocks.shape
-        half = v.shape[1] // n_chi
-        out = np.empty_like(v)
-        for chi in range(n_chi):
-            sl = slice(chi * half, (chi + 1) * half)
-            x = v[:, sl, :].reshape(vol, b, 1)
-            out[:, sl, :] = np.matmul(blocks[:, chi], x).reshape(
-                vol, half, v.shape[2]
-            )
-        return out
 
     def dense_blocks_apply(self, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply per-site dense ``(V, N, N)`` blocks to ``(V, ns, nc)`` data."""
         vol, n, _ = mats.shape
         flat = v.reshape(vol, n, 1)
         return np.matmul(mats, flat).reshape(v.shape)
-
-    # ------------------------------------------------------------------
-    # fine-grid Wilson-Clover
-    # ------------------------------------------------------------------
-    def wilson_apply(self, op, v: np.ndarray) -> np.ndarray:
-        """Full fused Wilson-Clover application ``M v``."""
-        return op.apply_reference(v)
-
-    def wilson_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
-        """Batched ``M`` over a ``(K, V, 4, 3)`` right-hand-side stack."""
-        return op.apply_multi_reference(vs)
 
     # ------------------------------------------------------------------
     # coarse dense-block stencil

@@ -14,11 +14,9 @@ the CPU image of that idea:
 * every hop term maps one parity plane onto the other, so the hop sum
   becomes two dense parity-to-parity sweeps with *no* zero-padded
   full-lattice intermediates;
-* on the fine grid each parity sweep goes through the spin-compressed
-  half-spinor engine of :mod:`repro.dirac.mrhs`, so the gathered
-  neighbour data is the packed ``(2K)``-component half-spinor block —
-  half-spinors stored contiguously per parity, exactly the compressed
-  exchange layout of the paper's Section 6;
+* on the fine grid the packed-plane API drives the parity halves of
+  the operator's own sites-last kernel (:mod:`repro.dirac.mrhs`), whose
+  store is already parity-ordered;
 * on coarse grids the parity sweeps are the dense-block stacked GEMMs
   of :class:`repro.dirac.mrhs._DenseBlockHop`.
 
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ArrayBackend
-from .einsum_backend import _has_dense_blocks, _has_wilson_internals
+from .einsum_backend import _has_dense_blocks
 
 
 def parity_sites(lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -83,48 +81,58 @@ def unpack_parity(packed: PackedParityField) -> np.ndarray:
     return out
 
 
+def _site_major(fn):
+    """Adapt a sites-last ``(K, 4, 3, V/2)`` Wilson kernel to site-major planes."""
+
+    def apply(vs: np.ndarray) -> np.ndarray:
+        out = fn(np.ascontiguousarray(vs.transpose(0, 2, 3, 1)))
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+    return apply
+
+
 class _ParityKernels:
-    """Per-operator packed state: parity site tables, parity-restricted
-    hop engines (one per direction of the bipartite graph) and the
-    parity-gathered site-local blocks."""
+    """Per-operator packed state: parity site tables and, for each
+    parity, the hop sweep landing on it and its site-local term.  A
+    Wilson-Clover operator lends the parity halves of its sites-last
+    store (no copies); dense-block operators are parity-gathered once."""
 
     def __init__(self, op):
-        from ..dirac.mrhs import BatchedHopSum, _DenseBlockHop
+        from ..dirac.mrhs import (
+            BatchedHopSum,
+            _dense_blocks_apply_multi,
+            _DenseBlockHop,
+            clover_apply,
+            supports_batched_schur,
+        )
 
-        self.even, self.odd = parity_sites(op.lattice)
-        if _has_wilson_internals(op):
+        even, odd = self.even, self.odd = parity_sites(op.lattice)
+        if supports_batched_schur(op):
             self.kind = "wilson"
-            self.hop_to_even = BatchedHopSum(
-                op, out_sites=self.even, src_sites=self.odd
+            vh = len(even)
+            self.hop = tuple(
+                _site_major(BatchedHopSum(op, out_sites=o, src_sites=s).apply)
+                for o, s in ((even, odd), (odd, even))
             )
-            self.hop_to_odd = BatchedHopSum(
-                op, out_sites=self.odd, src_sites=self.even
-            )
-            self.diag = (
-                np.ascontiguousarray(op._diag_blocks[self.even]),
-                np.ascontiguousarray(op._diag_blocks[self.odd]),
+            self.diag = tuple(
+                _site_major(
+                    lambda x, b=b: clover_apply(b, x, np.empty_like(x), np.empty_like(x))
+                )
+                for b in (op._diag[..., :vh], op._diag[..., vh:])
             )
         elif _has_dense_blocks(op):
             self.kind = "dense"
-            self.hop_to_even = _DenseBlockHop(
-                op, out_sites=self.even, src_sites=self.odd
+            self.hop = tuple(
+                _DenseBlockHop(op, out_sites=o, src_sites=s).apply
+                for o, s in ((even, odd), (odd, even))
             )
-            self.hop_to_odd = _DenseBlockHop(
-                op, out_sites=self.odd, src_sites=self.even
-            )
-            self.diag = (
-                np.ascontiguousarray(op.x_blocks[self.even]),
-                np.ascontiguousarray(op.x_blocks[self.odd]),
+            self.diag = tuple(
+                lambda vs, m=np.ascontiguousarray(op.x_blocks[sites]):
+                    _dense_blocks_apply_multi(m, vs)
+                for sites in (even, odd)
             )
         else:
             self.kind = "generic"
-
-    def diag_apply(self, plane_blocks: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        from ..dirac.mrhs import _dense_blocks_apply_multi, blocks_apply_multi
-
-        if self.kind == "wilson":
-            return blocks_apply_multi(plane_blocks, vs)
-        return _dense_blocks_apply_multi(plane_blocks, vs)
 
 
 class SoABackend(ArrayBackend):
@@ -158,25 +166,22 @@ class SoABackend(ArrayBackend):
         """
         kern = self._kernels(op)
         ve, vo = planes[0], planes[1]
-        out_e = kern.diag_apply(kern.diag[0], ve) + kern.hop_to_even.apply(vo)
-        out_o = kern.diag_apply(kern.diag[1], vo) + kern.hop_to_odd.apply(ve)
+        out_e = kern.diag[0](ve) + kern.hop[0](vo)
+        out_o = kern.diag[1](vo) + kern.hop[1](ve)
         return np.stack([out_e, out_o])
 
     def hop_sum_packed_multi(self, op, planes: np.ndarray) -> np.ndarray:
         """Hop-only parity sweeps on packed ``(2, K, V/2, ns, nc)`` data."""
         kern = self._kernels(op)
-        return np.stack(
-            [kern.hop_to_even.apply(planes[1]), kern.hop_to_odd.apply(planes[0])]
-        )
+        return np.stack([kern.hop[0](planes[1]), kern.hop[1](planes[0])])
 
     # ------------------------------------------------------------------
     # canonical-layout API: pack, sweep, unpack
     # ------------------------------------------------------------------
-    def _apply_via_planes(self, op, vs: np.ndarray, hops_only: bool) -> np.ndarray:
+    def _apply_via_planes(self, op, vs: np.ndarray) -> np.ndarray:
         kern = self._kernels(op)
         planes = np.stack([vs[:, kern.even], vs[:, kern.odd]])
-        sweep = self.hop_sum_packed_multi if hops_only else self.apply_packed_multi
-        out_planes = sweep(op, planes)
+        out_planes = self.apply_packed_multi(op, planes)
         out = np.empty_like(vs)
         out[:, kern.even] = out_planes[0]
         out[:, kern.odd] = out_planes[1]
@@ -188,13 +193,10 @@ class SoABackend(ArrayBackend):
     # quick-bench lattice).  The packed layout pays where the paper's
     # Section 9 says it does — the *_multi entry points and the
     # packed-plane API above, where the parity planes are the storage
-    # format rather than a per-call conversion.
-    def wilson_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
-        if self._kernels(op).kind != "wilson":
-            return super().wilson_apply_multi(op, vs)
-        return self._apply_via_planes(op, vs, hops_only=False)
-
+    # format rather than a per-call conversion.  The fine Wilson-Clover
+    # operator does not dispatch here: its own kernel is parity-ordered
+    # already, and the packed-plane API above drives it directly.
     def coarse_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
         if self._kernels(op).kind != "dense":
             return super().coarse_apply_multi(op, vs)
-        return self._apply_via_planes(op, vs, hops_only=False)
+        return self._apply_via_planes(op, vs)

@@ -15,7 +15,9 @@ Section 3.3, [26])
 This wrapper works for *any* :class:`~repro.dirac.stencil.StencilOperator`
 — the fine Wilson-Clover matrix and every coarse Galerkin operator —
 because the paper applies red-black preconditioning on all levels
-(Section 7.1).
+(Section 7.1).  On the Wilson-Clover matrix it runs the half-volume
+kernel of :class:`~repro.dirac.mrhs.BatchedSchur` at ``K = 1``; other
+operators go through zero-padded full-lattice hops.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import Lattice
+from .mrhs import BatchedSchur, supports_batched_schur
 from .stencil import StencilOperator
 
 
@@ -43,6 +46,9 @@ class SchurOperator:
         self.nc = op.nc
         self._own = self.lattice.sites_of_parity(parity)
         self._other = self.lattice.sites_of_parity(1 - parity)
+        self._batched = (
+            BatchedSchur(op, parity) if supports_batched_schur(op) else None
+        )
 
     @property
     def half_volume(self) -> int:
@@ -70,6 +76,8 @@ class SchurOperator:
     # ------------------------------------------------------------------
     def apply(self, half: np.ndarray) -> np.ndarray:
         """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on half-field data."""
+        if self._batched is not None:
+            return self._batched.apply_multi(half[None])[0]
         full = self.lift(half)
         hop1 = self.op.apply_hopping(full)  # lives on opposite parity
         mid = self.op.apply_diag_inv(hop1)
@@ -84,12 +92,16 @@ class SchurOperator:
     # ------------------------------------------------------------------
     def prepare_source(self, b_full: np.ndarray) -> np.ndarray:
         """``b_p - H_pq A_qq^{-1} b_q`` — right-hand side of the Schur system."""
+        if self._batched is not None:
+            return self._batched.prepare_multi(b_full[None])[0]
         b_other = self.lift(self.restrict(b_full, 1 - self.parity), 1 - self.parity)
         corr = self.op.apply_hopping(self.op.apply_diag_inv(b_other))
         return self.restrict(b_full) - self.restrict(corr)
 
     def reconstruct(self, x_half: np.ndarray, b_full: np.ndarray) -> np.ndarray:
         """Assemble the full-lattice solution from the Schur solution."""
+        if self._batched is not None:
+            return self._batched.reconstruct_multi(x_half[None], b_full[None])[0]
         x_full = self.lift(x_half)
         hop = self.op.apply_hopping(x_full)  # lives on opposite parity
         rhs_other = self.lift(self.restrict(b_full, 1 - self.parity), 1 - self.parity)

@@ -83,7 +83,7 @@ def projected_hop(op, mu: int, sign: int, v: np.ndarray) -> np.ndarray:
     lat = op.lattice
     table = lat.fwd[mu] if sign > 0 else lat.bwd[mu]
     half = project(mu, sign, v)[table]  # gather the projected neighbour
-    links = op._u_fwd[mu] if sign > 0 else op._u_bwd[mu]
+    links = op.direction_links(mu, sign)
     colored = np.einsum("xab,xsb->xsa", links, half)
     return -0.5 * reconstruct(mu, sign, colored)
 

@@ -15,12 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..fields import GaugeField
 from ..gauge.su3 import dagger
 from ..lattice import NDIM, Lattice
 from .clover import CloverTerm
-from .gamma import NS, chirality_slices, projectors
+from .gamma import NS, projector_factors, projectors
+from .mrhs import (
+    N_TERMS,
+    BatchedHopSum,
+    SiteGather,
+    Workspace,
+    batch_chunks,
+    clover_apply,
+)
 from .stencil import StencilOperator
 
 TIME_DIR = 3
@@ -66,19 +73,24 @@ class WilsonCloverOperator(StencilOperator):
         self.hop_weights = tuple(float(w) for w in hop_weights)
 
         lat = self.lattice
-        # Boundary-phased, hop-weighted link copies: u_fwd[mu][x]
-        # multiplies the neighbour at x+mu; u_bwd[mu][x]
-        # (= U_mu(x-mu)^dag, phased) multiplies the neighbour at x-mu.
-        self._u_fwd = np.empty_like(gauge.data)
-        self._u_bwd = np.empty_like(gauge.data)
+        order = lat.parity_order
+        # Boundary-phased, hop-weighted links, one per hop term
+        # t = 2*mu + (sign < 0): the forward term's U_mu(x) multiplies
+        # the neighbour at x+mu, the backward term's U_mu(x-mu)^dag the
+        # neighbour at x-mu.  Stored sites-last in parity order (see
+        # repro.dirac.mrhs), as are the site-local blocks below.
+        links = np.empty((NDIM, 2, lat.volume, 3, 3), dtype=np.complex128)
         for mu in range(NDIM):
             fwd_phase = np.full(lat.volume, self.hop_weights[mu])
             bwd_phase = np.full(lat.volume, self.hop_weights[mu])
             if antiperiodic_t and mu == TIME_DIR:
                 fwd_phase[lat.crosses_fwd[mu]] *= -1.0
                 bwd_phase[lat.crosses_bwd[mu]] *= -1.0
-            self._u_fwd[mu] = gauge.data[mu] * fwd_phase[:, None, None]
-            self._u_bwd[mu] = dagger(gauge.data[mu][lat.bwd[mu]]) * bwd_phase[:, None, None]
+            links[mu, 0] = gauge.data[mu] * fwd_phase[:, None, None]
+            links[mu, 1] = dagger(gauge.data[mu][lat.bwd[mu]]) * bwd_phase[:, None, None]
+        self._links = np.ascontiguousarray(
+            links.reshape(N_TERMS, lat.volume, 3, 3)[:, order].transpose(0, 2, 3, 1)
+        )
 
         if c_sw != 0.0:
             self.clover = CloverTerm.from_gauge(gauge, c_sw)
@@ -87,77 +99,113 @@ class WilsonCloverOperator(StencilOperator):
         # Site-local term (sum_mu w_mu + m + A) and its inverse, in
         # chiral blocks; the Wilson term's diagonal carries one unit per
         # hop weight so the free zero mode sits exactly at m.
-        self._diag_blocks = self.clover.shifted(sum(self.hop_weights) + self.mass)
-        self._diag_inv = np.linalg.inv(self._diag_blocks)
-        self._proj_minus, self._proj_plus = projectors()
+        blocks = self.clover.shifted(sum(self.hop_weights) + self.mass)
+        self._diag = np.ascontiguousarray(blocks[order].transpose(1, 2, 3, 0))
+        self._diag_inv = np.ascontiguousarray(
+            np.linalg.inv(blocks)[order].transpose(1, 2, 3, 0)
+        )
+        # Rank-2 spin factors of the eight terms, concatenated: (16, 4)
+        # compression and (4, 16) reconstruction with the -1/2 folded in.
+        m_recon, m_half, p_recon, p_half = projector_factors()
+        self._spin_half = np.concatenate(
+            [(m_half if s > 0 else p_half)[mu] for mu in range(NDIM) for s in (1, -1)]
+        )
+        self._spin_recon = -0.5 * np.concatenate(
+            [(m_recon if s > 0 else p_recon)[mu] for mu in range(NDIM) for s in (1, -1)],
+            axis=1,
+        )
+        self._workspace = Workspace()
+        self._sites = SiteGather(lat.volume, order)
+        self._hops = BatchedHopSum(self)
 
     # ------------------------------------------------------------------
+    # the one kernel: every entry point runs the sites-last formulation
+    # of repro.dirac.mrhs on a (K, 4, 3, V) parity-ordered stack
+    # ------------------------------------------------------------------
+    def _run(self, vs: np.ndarray, diag: np.ndarray | None, hops: bool,
+             gather=None) -> np.ndarray:
+        vs = np.asarray(vs, dtype=np.complex128)
+        vol = self.lattice.volume
+        out = np.empty(vs.shape, dtype=np.complex128)
+        for sl in batch_chunks(vs.shape[0], vol):
+            k = sl.stop - sl.start
+            x, y, d, t = self._workspace.views(
+                ("apply", k, vol),
+                tuple((f"apply.{name}", (k, 4, 3, vol)) for name in "xydt"),
+            )
+            self._sites.to_sites_last(vs[sl], x)
+            if hops:
+                self._hops._hop(x, out=y, gather=gather)
+            if diag is not None:
+                clover_apply(diag, x, d, t)
+                if hops:
+                    np.add(y, d, out=y)
+                else:
+                    y = d
+            self._sites.to_site_major(y, out[sl])
+        return out
+
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
-        """Clover/mass site-local term, through the active backend."""
-        return get_backend().clover_apply(self._diag_blocks, v)
+        """Clover/mass site-local term."""
+        return self._run(v[None], self._diag, hops=False)[0]
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
-        return get_backend().clover_apply(self._diag_inv, v)
+        return self._run(v[None], self._diag_inv, hops=False)[0]
 
-    def _apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Baseline chiral-block multiply (kept as the reference the
-        backend protocol's default ``clover_apply`` mirrors)."""
-        vol = v.shape[0]
-        out = np.empty_like(v)
-        for chi, sl in enumerate(chirality_slices()):
-            x = v[:, sl, :].reshape(vol, 6, 1)
-            out[:, sl, :] = np.matmul(blocks[:, chi], x).reshape(vol, 2, 3)
-        return out
-
-    # ------------------------------------------------------------------
-    def apply_hop_gathered(self, mu: int, sign: int, nbr: np.ndarray) -> np.ndarray:
-        """Signed hop ``-(1/2) P^{∓mu} U nbr`` with pre-gathered neighbours."""
-        links = self._u_fwd[mu] if sign > 0 else self._u_bwd[mu]
-        proj = self._proj_minus[mu] if sign > 0 else self._proj_plus[mu]
-        colored = np.matmul(links[:, None, :, :], nbr[..., None])[..., 0]
-        return -0.5 * np.tensordot(colored, proj, axes=([1], [1])).transpose(0, 2, 1)
-
-    def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application to ``(K, V, 4, 3)``, through the active backend."""
-        return get_backend().wilson_apply_multi(self, vs)
-
-    def apply_multi_reference(self, vs: np.ndarray) -> np.ndarray:
-        """Baseline batched application to ``(K, V, 4, 3)`` stacks.
-
-        Links and diag blocks are read once for all ``K`` systems and
-        every hop goes through the rank-2 spin compression — the
-        Section 9 multi-RHS reformulation of the fine dslash (see
-        :mod:`repro.dirac.mrhs`).
-        """
-        from .mrhs import BatchedHopSum, blocks_apply_multi
-
-        engine = getattr(self, "_mrhs_engine", None)
-        if engine is None:
-            engine = self._mrhs_engine = BatchedHopSum(self)
-        return blocks_apply_multi(self._diag_blocks, vs) + engine.apply(vs)
+    def apply_hopping(self, v: np.ndarray) -> np.ndarray:
+        """Sum of all eight hop terms."""
+        return self._run(v[None], None, hops=True)[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full application ``M v``, through the active backend."""
-        return get_backend().wilson_apply(self, v)
+        """Full application ``M v``."""
+        return self._run(v[None], self._diag, hops=True)[0]
 
-    def apply_reference(self, v: np.ndarray) -> np.ndarray:
-        """Baseline fused full application (diagonal + all eight hops)."""
+    def apply_multi(self, vs: np.ndarray) -> np.ndarray:
+        """Batched application to ``(K, V, 4, 3)``: the links and site
+        blocks are read once for all ``K`` systems (paper Section 9)."""
+        return self._run(vs, self._diag, hops=True)
+
+    def apply_exchanged(self, v: np.ndarray, exchange) -> np.ndarray:
+        """``M v`` with every hop term's neighbours moved by ``exchange``.
+
+        ``exchange(mu, sign, half)`` receives one term's spin-compressed
+        source, site-major ``(V, 2, 3)`` — the half-spinor QUDA ships in
+        its halo — and returns it read at ``x + sign*mu_hat`` for every
+        site ``x``.  Pure data movement leaves the result bitwise equal
+        to :meth:`apply`; :class:`~repro.comm.PartitionedOperator`
+        routes the movement through its halo exchange.
+        """
         lat = self.lattice
-        out = self._apply_blocks(self._diag_blocks, v)
-        for mu in range(NDIM):
-            fwd = np.matmul(
-                self._u_fwd[mu][:, None, :, :], v[lat.fwd[mu]][..., None]
-            )[..., 0]
-            bwd = np.matmul(
-                self._u_bwd[mu][:, None, :, :], v[lat.bwd[mu]][..., None]
-            )[..., 0]
-            out -= 0.5 * np.tensordot(
-                fwd, self._proj_minus[mu], axes=([1], [1])
-            ).transpose(0, 2, 1)
-            out -= 0.5 * np.tensordot(
-                bwd, self._proj_plus[mu], axes=([1], [1])
-            ).transpose(0, 2, 1)
-        return out
+        order, position = lat.parity_order, lat.parity_position
+
+        def gather(compressed: np.ndarray, g: np.ndarray) -> None:
+            terms = compressed.reshape(N_TERMS, 2, 3, lat.volume)
+            for t in range(N_TERMS):
+                half = terms[t][..., position].transpose(2, 0, 1)
+                moved = exchange(t // 2, 1 if t % 2 == 0 else -1, half)
+                g[0, t] = moved[order].transpose(1, 2, 0)
+
+        return self._run(v[None], self._diag, hops=True, gather=gather)[0]
+
+    # ------------------------------------------------------------------
+    def direction_links(self, mu: int, sign: int) -> np.ndarray:
+        """Links of one hop term, site-major ``(V, 3, 3)``, built on demand.
+
+        The boundary-phased, hop-weighted matrices ``apply_hop_gathered``
+        multiplies: ``U_mu(x)`` for ``sign > 0``, ``U_mu(x-mu)^dag`` for
+        ``sign < 0``.  For the cold per-direction paths (halo exchange,
+        Schwarz domains, Galerkin coarsening, spin projection).
+        """
+        t = 2 * mu + (sign < 0)
+        links = self._links[t][..., self.lattice.parity_position]
+        return np.ascontiguousarray(links.transpose(2, 0, 1))
+
+    def apply_hop_gathered(self, mu: int, sign: int, nbr: np.ndarray) -> np.ndarray:
+        """Signed hop ``-(1/2) P^{∓mu} U nbr`` with pre-gathered neighbours."""
+        links = self.direction_links(mu, sign)
+        proj = projectors()[0 if sign > 0 else 1][mu]
+        colored = np.matmul(links[:, None, :, :], nbr[..., None])[..., 0]
+        return -0.5 * np.tensordot(colored, proj, axes=([1], [1])).transpose(0, 2, 1)
 
     # ------------------------------------------------------------------
     def flops_per_site(self) -> float:

@@ -125,6 +125,18 @@ class Lattice:
     def sites_of_parity(self, parity: int) -> np.ndarray:
         return self.even_sites if parity == 0 else self.odd_sites
 
+    @cached_property
+    def parity_order(self) -> np.ndarray:
+        """Site indices parity-ordered: the even sites, then the odd ones."""
+        return np.concatenate([self.even_sites, self.odd_sites])
+
+    @cached_property
+    def parity_position(self) -> np.ndarray:
+        """Inverse of :attr:`parity_order`: the parity-ordered position of each site."""
+        pos = np.empty(self.volume, dtype=np.int64)
+        pos[self.parity_order] = np.arange(self.volume)
+        return pos
+
     @property
     def half_volume(self) -> int:
         return self.volume // 2

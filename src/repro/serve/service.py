@@ -288,8 +288,10 @@ class SolveService:
     ) -> Future:
         """Enqueue one right-hand side; returns a future of SolveResult.
 
-        Raises :class:`ServiceOverloadedError` when the queue is full
-        and :class:`ServiceClosedError` after shutdown.  ``timeout_s``
+        Raises :class:`ValueError` for a non-finite right-hand side
+        (before anything is queued), :class:`ServiceOverloadedError`
+        when the queue is full and :class:`ServiceClosedError` after
+        shutdown.  ``timeout_s``
         bounds the time the request may wait before its batch starts;
         expired requests fail with :class:`SolveTimeoutError`.
 
@@ -298,6 +300,9 @@ class SolveService:
         open) that then rides the queue, the batch, the solve spans,
         every slog record and the metric exemplars of this request.
         """
+        rhs = np.asarray(rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs has non-finite entries (NaN or Inf)")
         registry = get_registry()
         trace_id = current_trace_id() or new_trace_id()
         with self._cond:
@@ -326,7 +331,7 @@ class SolveService:
                 )
             req = _Request(
                 op_name=op_name,
-                rhs=np.asarray(rhs),
+                rhs=rhs,
                 tol=tol if tol is not None else entry.params.outer_tol,
                 timeout_s=timeout_s,
                 id=next(self._ids),

@@ -43,7 +43,9 @@ def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
     The seed stub silently accepted mismatched shapes — a bare
     ``(V, ns, nc)`` field would have its *volume* axis treated as the
     batch axis and solve V nonsense systems.  Raise a shaped
-    :class:`ValueError` instead.
+    :class:`ValueError` instead.  Non-finite entries (NaN/Inf) are
+    rejected too: a NaN norm would otherwise pass for a zero
+    right-hand side and come back "converged".
     """
     bs = np.asarray(bs)
     if bs.ndim < 2:
@@ -62,6 +64,12 @@ def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
                 f"{type(op).__name__}: expected (K,) + {expect}, got "
                 f"per-system shape {bs.shape[1:]}"
             )
+    finite = np.isfinite(bs.reshape(bs.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"rhs stack has non-finite entries in system(s) "
+            f"{np.flatnonzero(~finite).tolist()}"
+        )
     return bs
 
 
