@@ -14,9 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ..backend import get_backend
 from ..dirac.stencil import StencilOperator
 from ..lattice import NDIM, Lattice
+
+
+def _blocks_apply(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply per-site dense ``(V, N, N)`` blocks to ``(V, ns, nc)`` data."""
+    vol, n, _ = mats.shape
+    return np.matmul(mats, v.reshape(vol, n, 1)).reshape(v.shape)
 
 
 class CoarseOperator(StencilOperator):
@@ -62,10 +67,10 @@ class CoarseOperator(StencilOperator):
 
     # ------------------------------------------------------------------
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
-        return get_backend().dense_blocks_apply(self.x_blocks, v)
+        return _blocks_apply(self.x_blocks, v)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
-        return get_backend().dense_blocks_apply(self._x_inv, v)
+        return _blocks_apply(self._x_inv, v)
 
     def apply_hop_gathered(self, mu: int, sign: int, nbr: np.ndarray) -> np.ndarray:
         d = 0 if sign > 0 else 1
@@ -73,11 +78,7 @@ class CoarseOperator(StencilOperator):
         return np.matmul(self.hop_blocks[mu, d], flat).reshape(nbr.shape)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full application ``M v``, through the active backend."""
-        return get_backend().coarse_apply(self, v)
-
-    def apply_reference(self, v: np.ndarray) -> np.ndarray:
-        """Baseline fused application: one gather + batched matvec per direction."""
+        """Fused application ``M v``: one gather + batched matvec per direction."""
         lat = self.lattice
         flat = v.reshape(lat.volume, self.site_dof, 1)
         out = np.matmul(self.x_blocks, flat)
@@ -87,11 +88,7 @@ class CoarseOperator(StencilOperator):
         return out.reshape(v.shape)
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application to ``(K, V, ns, nc)``, through the active backend."""
-        return get_backend().coarse_apply_multi(self, vs)
-
-    def apply_multi_reference(self, vs: np.ndarray) -> np.ndarray:
-        """Baseline batched application to ``(K, V, ns, nc)``: matrices loaded once.
+        """Batched application to ``(K, V, ns, nc)``: matrices loaded once.
 
         Batch-last ``(V, N, N) @ (V, N, K)`` stacked GEMMs — one per
         direction regardless of K, so every dense link matrix is read

@@ -20,7 +20,6 @@ import abc
 
 import numpy as np
 
-from ..backend import get_backend
 from ..fields import SpinorField
 from ..lattice import NDIM, Lattice
 
@@ -66,20 +65,10 @@ class StencilOperator(abc.ABC):
         return self.ns * self.nc
 
     def apply_hopping(self, v: np.ndarray) -> np.ndarray:
-        """Sum of all eight hop terms.
+        """Sum of all eight hop terms: one gathered sweep per direction/orientation.
 
-        Dispatches through the active :class:`~repro.backend.base.
-        ArrayBackend` — red-black Schur preconditioning applies this
-        twice per matvec on every level, so it is the hottest
-        layout-sensitive primitive after the fused applies.
-        """
-        return get_backend().hop_sum(self, v)
-
-    def hop_sum_reference(self, v: np.ndarray) -> np.ndarray:
-        """Baseline hop sum: one gathered sweep per direction/orientation.
-
-        Works for any stencil operator; backends without a specialized
-        formulation for this operator type fall back here.
+        Red-black Schur preconditioning applies this twice per matvec
+        on every level that does not run a dedicated Schur kernel.
         """
         out = np.zeros_like(v)
         for mu in range(NDIM):

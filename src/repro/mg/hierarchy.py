@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import active_backend_name, use_backend
 from ..coarse import coarsen_operator
 from ..lattice import Blocking
 from ..telemetry.tracer import get_tracer
@@ -152,11 +151,7 @@ class MultigridHierarchy:
         tracer = get_tracer()
         levels: list[MGLevel] = []
         current = fine_op
-        with use_backend(params.backend), tracer.span(
-            "mg.setup",
-            n_levels=len(params.levels) + 1,
-            backend=active_backend_name() if params.backend is None else params.backend,
-        ):
+        with tracer.span("mg.setup", n_levels=len(params.levels) + 1):
             for index, lp in enumerate(params.levels):
                 if verbose:
                     print(

@@ -16,17 +16,12 @@ MR smoothing on the red-black system, batched transfers, batched
 on the coarsest level — so a batch of K right-hand sides never unstacks
 between the first restrict and the final residual check, and every
 stencil, transfer, and smoothing matrix is read once for all K systems.
-
-The two-level :class:`BatchedTwoLevelPreconditioner` from PR 2 is kept
-as the minimal reference implementation; the full-depth cycle is what
-:func:`batched_mg_solve` and the serve batcher now run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend import use_backend
 from ..dirac.mrhs import (
     batched_schur_for,
     supports_batched_schur,
@@ -94,56 +89,6 @@ class BatchedSmoother:
             xs += _bshape(alpha, xs) * res
             res -= _bshape(alpha, res) * q
         return self.bschur.reconstruct_multi(xs, rs)
-
-
-class BatchedTwoLevelPreconditioner:
-    """A batched two-level cycle built from an existing hierarchy.
-
-    Pre/post batched smoothing, batched restriction/prolongation, and a
-    batched GCR on the (first) coarse level.  Built from a standard
-    :class:`MultigridHierarchy` — the setup (null vectors, Galerkin) is
-    reused unchanged; only the *apply* path is batched.  Kept as the
-    minimal reference; :class:`BatchedKCyclePreconditioner` batches the
-    full hierarchy depth.
-    """
-
-    def __init__(
-        self,
-        hierarchy: MultigridHierarchy,
-        coarse_tol: float = 0.25,
-        coarse_maxiter: int = 16,
-    ):
-        fine = hierarchy.levels[0]
-        assert fine.transfer is not None and fine.params is not None
-        self.fine_op = fine.op
-        self.transfer = fine.transfer
-        self.coarse_op = hierarchy.levels[1].op
-        self.smoother = BatchedSmoother(
-            self.fine_op,
-            steps=fine.params.smoother_steps,
-            omega=fine.params.smoother_omega,
-        )
-        self.coarse_tol = coarse_tol
-        self.coarse_maxiter = coarse_maxiter
-
-    def _restrict_multi(self, vs: np.ndarray) -> np.ndarray:
-        return self.transfer.restrict_multi(vs)
-
-    def _prolong_multi(self, vcs: np.ndarray) -> np.ndarray:
-        return self.transfer.prolong_multi(vcs)
-
-    def apply_multi(self, rs: np.ndarray) -> np.ndarray:
-        zs = self.smoother.apply_multi(rs)
-        r1 = rs - self.fine_op.apply_multi(zs)
-        rcs = self._restrict_multi(r1)
-        coarse_results = batched_gcr(
-            self.coarse_op, rcs, tol=self.coarse_tol, maxiter=self.coarse_maxiter
-        )
-        ecs = np.stack([res.x for res in coarse_results])
-        zs = zs + self._prolong_multi(ecs)
-        r2 = rs - self.fine_op.apply_multi(zs)
-        zs = zs + self.smoother.apply_multi(r2)
-        return zs
 
 
 def hierarchy_supports_batching(hierarchy: MultigridHierarchy) -> bool:
@@ -436,9 +381,7 @@ def batched_mg_solve(
     it = 0
     matvec_batches = 0
     tracer = get_tracer()
-    with use_backend(hierarchy.params.backend) as backend, tracer.span(
-        "mg.batched_solve", n_rhs=k, tol=tol, backend=backend.name
-    ) as sp:
+    with tracer.span("mg.batched_solve", n_rhs=k, tol=tol) as sp:
         while it < maxiter and active.any():
             if len(zs_list) == nkrylov:
                 zs_list.clear()
@@ -502,7 +445,6 @@ def batched_mg_solve(
             )
             res.telemetry.level_stats = level_stats
             res.telemetry.attrs["level_stats"] = level_stats
-            res.telemetry.attrs["backend"] = backend.name
             if isinstance(sp, Span):
                 # all K results belong to the batch span's trace; the
                 # serve tier activates the head request's context around

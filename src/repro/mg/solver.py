@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import active_backend_name, use_backend
 from ..fields import SpinorField
 from ..solvers.base import OperatorCounter, SolveResult
 from ..solvers.gcr import gcr
@@ -77,11 +76,8 @@ class MultigridSolver:
         fine = self.hierarchy.levels[0]
         op = OperatorCounter(fine.op, stats=fine.stats)
         tracer = get_tracer()
-        with use_backend(self.params.backend) as backend, tracer.span(
-            "mg.solve",
-            subspace=self.params.subspace_label(),
-            level=0,
-            backend=backend.name,
+        with tracer.span(
+            "mg.solve", subspace=self.params.subspace_label(), level=0
         ) as sp:
             result = gcr(
                 op,
@@ -127,11 +123,6 @@ class MultigridSolver:
         # deprecated ``extra`` alias readers see the same snapshot
         tele.attrs["level_stats"] = snapshot
         tele.attrs["subspace"] = self.params.subspace_label()
-        tele.attrs["backend"] = (
-            self.params.backend
-            if self.params.backend is not None
-            else active_backend_name()
-        )
         tele.metrics["outer_iterations"] = float(result.iterations)
         tele.metrics["final_residual"] = float(result.final_residual)
         if isinstance(sp, Span):

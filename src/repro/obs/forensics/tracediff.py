@@ -5,7 +5,7 @@
 ``(level, name)`` with the level inherited from the nearest ancestor,
 exactly like the Figure 4 aggregation — and reports per-node exclusive
 self-time deltas **and** booked flops/bytes deltas.  Cost deltas matter
-independently of timing: a backend swap that changes self-time but not
+independently of timing: a kernel rewrite that changes self-time but not
 flops is a layout effect, one that changes flops is an algorithm
 change, and the distinction is the first question a perf review asks.
 
@@ -97,6 +97,8 @@ class TraceDiff:
         return 1 if self.regressions else 0
 
     def render(self) -> str:
+        # trace documents recorded while array backends were selectable
+        # carry a "backend" label; prefer it when present
         label_a = self.meta_a.get("backend") or self.meta_a.get("dataset") or "A"
         label_b = self.meta_b.get("backend") or self.meta_b.get("dataset") or "B"
         lines = [

@@ -43,15 +43,10 @@ MAX_TRAJECTORY_POINTS = 200
 # the shared envelope (benchmarks/_shared.py re-exports these)
 # ----------------------------------------------------------------------
 def host_metadata() -> dict:
-    from ..backend import active_backend_name
-
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        # the array backend the measurements ran on: layout rankings
-        # (repro perf diff) are only meaningful backend-to-baseline
-        "backend": active_backend_name(),
     }
 
 
@@ -360,7 +355,7 @@ def run_suite(
         "git": git_metadata(),
         "env": {
             key: os.environ[key]
-            for key in ("REPRO_BENCH_RHS", "REPRO_BACKEND")
+            for key in ("REPRO_BENCH_RHS",)
             if key in os.environ
         },
     }
@@ -380,15 +375,16 @@ def trajectory_point(doc: dict) -> dict:
     """Compact one ledger entry into a trajectory point.
 
     Keeps only what the ``repro perf trend`` scan needs: a timestamp,
-    the git revision, the backend, and each benchmark's median/MAD —
-    so the in-tree history file stays a few bytes per run instead of
-    carrying every sample list.
+    the git revision and each benchmark's median/MAD — so the in-tree
+    history file stays a few bytes per run instead of carrying every
+    sample list.  Entries written while the package still selected array
+    backends carry ``host.backend``; it is passed through so their
+    points stay labelled.
     """
     meta = doc.get("meta", {})
-    return {
+    point = {
         "ts": meta.get("timestamp"),
         "git_rev": meta.get("git", {}).get("rev", ""),
-        "backend": doc.get("host", {}).get("backend", ""),
         "entry": entry_digest(doc)[:12],
         "benchmarks": {
             str(row["benchmark"]): {
@@ -399,6 +395,10 @@ def trajectory_point(doc: dict) -> dict:
             if "benchmark" in row and "median" in row
         },
     }
+    backend = doc.get("host", {}).get("backend")
+    if backend:
+        point["backend"] = backend
+    return point
 
 
 def append_trajectory_point(

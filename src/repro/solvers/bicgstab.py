@@ -46,6 +46,8 @@ def bicgstab(
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     history = [norm(r) / bnorm]
+    if not np.isfinite(history[0]):
+        return SolveResult(x, False, 0, history[0], history, matvecs)
 
     for k in range(1, maxiter + 1):
         rho = vdot(r0, r)
@@ -63,6 +65,9 @@ def bicgstab(
         alpha = rho / vdot(r0, v)
         s = r - alpha * v
         snorm = norm(s)
+        if not np.isfinite(snorm):
+            history.append(snorm / bnorm)
+            return SolveResult(x, False, k, history[-1], history, matvecs)
         if snorm < target:
             x += alpha * p
             history.append(snorm / bnorm)
@@ -76,7 +81,7 @@ def bicgstab(
         rho_old = rho
         rnorm = norm(r)
         history.append(rnorm / bnorm)
-        if rnorm < target:
-            return SolveResult(x, True, k, history[-1], history, matvecs)
+        if rnorm < target or not np.isfinite(rnorm):
+            return SolveResult(x, rnorm < target, k, history[-1], history, matvecs)
 
     return SolveResult(x, False, maxiter, history[-1], history, matvecs)

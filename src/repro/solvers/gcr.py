@@ -49,6 +49,8 @@ def gcr(
         return SolveResult(x, True, 0, 0.0, [0.0], matvecs)
     target = tol * bnorm
     history = [norm(r) / bnorm]
+    if not np.isfinite(history[0]):
+        return SolveResult(x, False, 0, history[0], history, matvecs, inner)
 
     zs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
@@ -85,9 +87,10 @@ def gcr(
             total_k += 1
             rnorm = norm(r)
             history.append(rnorm / bnorm)
-            if rnorm < target:
+            if rnorm < target or not np.isfinite(rnorm):
                 return SolveResult(
-                    x, True, total_k, history[-1], history, matvecs, inner
+                    x, rnorm < target, total_k, history[-1], history, matvecs,
+                    inner,
                 )
         if not ws:
             break  # stagnation: no progress possible

@@ -50,9 +50,9 @@ def gmres(
         beta = norm(r)
         reductions += 1
         history.append(beta / bnorm)
-        if beta < target:
+        if beta < target or not np.isfinite(beta):
             return SolveResult(
-                x, True, total, history[-1], history, matvecs,
+                x, beta < target, total, history[-1], history, matvecs,
                 extra={"reductions": reductions},
             )
         m = min(restart, maxiter - total)
@@ -70,6 +70,14 @@ def gmres(
             reductions += 1
             k_done = k + 1
             total += 1
+            if not np.isfinite(h[: k + 2, k]).all():
+                # a non-finite Arnoldi column would break the least
+                # squares; the last finite iterate is x
+                history.append(float("nan"))
+                return SolveResult(
+                    x, False, total, history[-1], history, matvecs,
+                    extra={"reductions": reductions},
+                )
             if h[k + 1, k] < 1e-30:
                 break
             q.append(w / h[k + 1, k])
@@ -140,9 +148,9 @@ def ca_gmres(
         rnorm = norm(r)
         reductions += 1
         history.append(rnorm / bnorm)
-        if rnorm < target:
+        if rnorm < target or not np.isfinite(rnorm):
             return SolveResult(
-                x, True, total, history[-1], history, matvecs,
+                x, rnorm < target, total, history[-1], history, matvecs,
                 extra={"reductions": reductions},
             )
         # matrix-powers kernel: s+1 basis vectors, no synchronization

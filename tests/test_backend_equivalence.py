@@ -1,16 +1,17 @@
-"""Differential backend-equivalence suite (``pytest -m backend``).
+"""Einsum formulations of the coarse-grid and transfer kernels.
 
-Every registered backend is held to the vectorized-NumPy baseline on
-every hot kernel — Wilson-Clover apply, hop sum, clover term, Schur
-apply, coarse dense-block apply, aggregation transfers, and the batched
-``apply_multi`` variants — across three qualitatively different
-ensembles (rough disordered, anisotropic, free field).  The matrix is
-the gate for the data-layout refactor: a backend enters the registry
-only if it matches the baseline to ``RTOL`` relative error here.
+``CoarseOperator`` and ``Transfer`` each run one kernel per entry point.
+This module holds them against a second, independently written
+formulation of the same arithmetic — ``np.einsum`` contractions over a
+gathered stencil (the coarse gather-GEMM: self term plus eight
+neighbours contracted in one sum) and over the aggregate basis — on
+three qualitatively different ensembles (rough disordered, anisotropic,
+free field).  Every case must agree to ``RTOL`` relative error.
 
-Optional backends (numba/cupy) that registered at import are swept by
-the same matrix automatically — ``CANDIDATES`` is read off the live
-registry, not hardcoded.
+The test and case names date from when these formulations were a
+selectable kernel set ("einsum") measured against the operators'
+"baseline" kernels; they are kept so results stay comparable over
+time.
 """
 
 from __future__ import annotations
@@ -18,30 +19,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import (
-    ArrayBackend,
-    active_backend_name,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
 from repro.coarse import coarsen_operator
 from repro.dirac import WilsonCloverOperator
 from repro.dirac.even_odd import SchurOperator
 from repro.gauge import disordered_field, free_field
-from repro.lattice import Blocking, Lattice
+from repro.lattice import NDIM, Blocking, Lattice
 from repro.transfer import Transfer
-
-pytestmark = pytest.mark.backend
 
 RTOL = 1e-12
 K_MULTI = 8
 N_NULL = 4
-
-#: every non-baseline backend in the registry, optional ones included
-CANDIDATES = tuple(n for n in available_backends() if n != "numpy")
 
 ENSEMBLES = ("rough", "aniso", "free")
 
@@ -70,11 +57,11 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 
 
 class Problem:
-    """One ensemble's operators plus deterministic test vectors."""
+    """One ensemble's coarse operator and transfer plus test vectors."""
 
     def __init__(self, ensemble: str):
         self.ensemble = ensemble
-        op = self._op = _fine_operator(ensemble)
+        op = _fine_operator(ensemble)
         lat = op.lattice
         rng = np.random.default_rng(7_000 + ENSEMBLES.index(ensemble))
 
@@ -83,8 +70,6 @@ class Problem:
 
         self.v = cnormal((lat.volume, op.ns, op.nc))
         self.vs = cnormal((K_MULTI, lat.volume, op.ns, op.nc))
-        self.schur = SchurOperator(op, parity=0)
-        self.h = self.v[lat.sites_of_parity(0)]
 
         nulls = [cnormal((lat.volume, op.ns, op.nc)) for _ in range(N_NULL)]
         self.transfer = Transfer(Blocking(lat, (2, 2, 2, 2)), nulls)
@@ -95,32 +80,127 @@ class Problem:
         self.coarse_schur = SchurOperator(self.coarse, parity=0)
         self.hc = self.vc[clat.sites_of_parity(0)]
 
-    @property
-    def op(self):
-        return self._op
+
+# ----------------------------------------------------------------------
+# the einsum formulations
+# ----------------------------------------------------------------------
+def _stencil_terms(op, with_diag: bool):
+    """Stacked per-term blocks ``(T, V, N, N)`` and source sites ``(T, V)``."""
+    lat = op.lattice
+    blocks, sources = [], []
+    if with_diag:
+        blocks.append(op.x_blocks)
+        sources.append(np.arange(lat.volume))
+    for mu in range(NDIM):
+        for d, nbr in enumerate((lat.fwd[mu], lat.bwd[mu])):
+            blocks.append(op.hop_blocks[mu, d])
+            sources.append(nbr)
+    return np.stack(blocks), np.stack(sources)
 
 
-#: operation name -> callable(Problem) -> ndarray; add a row here and
-#: every (backend, ensemble) pair picks it up automatically
+def coarse_gather_gemm(op, vs: np.ndarray, with_diag: bool = True) -> np.ndarray:
+    """Every stencil term of ``(K, V, ns, nc)`` data in one contraction."""
+    blocks, sources = _stencil_terms(op, with_diag)
+    k, vol = vs.shape[:2]
+    gathered = vs.reshape(k, vol, op.site_dof)[:, sources]  # (K, T, V, N)
+    out = np.einsum("tvij,ktvj->kvi", blocks, gathered, optimize=True)
+    return out.reshape(vs.shape)
+
+
+def coarse_diag(op, v: np.ndarray) -> np.ndarray:
+    flat = v.reshape(op.lattice.volume, op.site_dof)
+    return np.einsum("vij,vj->vi", op.x_blocks, flat).reshape(v.shape)
+
+
+def coarse_diag_inv(op, v: np.ndarray) -> np.ndarray:
+    flat = v.reshape(op.lattice.volume, op.site_dof, 1)
+    return np.linalg.solve(op.x_blocks, flat).reshape(v.shape)
+
+
+def coarse_schur(op, half: np.ndarray, parity: int = 0) -> np.ndarray:
+    """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` through the einsum kernels."""
+    own = op.lattice.sites_of_parity(parity)
+    full = np.zeros((op.lattice.volume, op.ns, op.nc), dtype=np.complex128)
+    full[own] = half
+    hop = lambda x: coarse_gather_gemm(op, x[None], with_diag=False)[0]
+    out = coarse_diag(op, full) - hop(coarse_diag_inv(op, hop(full)))
+    return out[own]
+
+
+def _chiral_rows(t: Transfer, fines: np.ndarray) -> np.ndarray:
+    """``(K, V, ns, nc)`` -> per-aggregate chirality rows ``(K, V_c, 2, rows)``."""
+    k, vc = fines.shape[0], t.coarse_lattice.volume
+    g = fines[:, t.blocking.agg_sites].reshape(
+        k, vc, t.blocking.block_volume, 2, t.fine_ns // 2, t.fine_nc
+    )
+    return g.transpose(0, 1, 3, 2, 4, 5).reshape(k, vc, 2, -1)
+
+
+def restrict(t: Transfer, fines: np.ndarray) -> np.ndarray:
+    """``c = B^dag f`` on a ``(K, V, ns, nc)`` stack."""
+    return np.einsum("xsar,kxsr->kxsa", t._basis_dag, _chiral_rows(t, fines))
+
+
+def prolong(t: Transfer, coarses: np.ndarray) -> np.ndarray:
+    """``f = B c`` on a ``(K, V_c, 2, Nc_hat)`` stack."""
+    k, vc = coarses.shape[:2]
+    bv, nsb = t.blocking.block_volume, t.fine_ns // 2
+    rows = np.einsum("xsar,kxsa->kxsr", np.conj(t._basis_dag), coarses)
+    vals = rows.reshape(k, vc, 2, bv, nsb, t.fine_nc).transpose(0, 1, 3, 2, 4, 5)
+    out = np.zeros(
+        (k, t.fine_lattice.volume, t.fine_ns, t.fine_nc), dtype=np.complex128
+    )
+    out[:, t.blocking.agg_sites.ravel()] = vals.reshape(k, vc * bv, t.fine_ns, t.fine_nc)
+    return out
+
+
+#: operation name -> (kernel under test, einsum formulation), each a
+#: callable(Problem) -> ndarray
 OPERATIONS = {
-    "wilson_apply": lambda p: p.op.apply(p.v),
-    "wilson_hop_sum": lambda p: p.op.apply_hopping(p.v),
-    "wilson_diag": lambda p: p.op.apply_diag(p.v),
-    "wilson_diag_inv": lambda p: p.op.apply_diag_inv(p.v),
-    "wilson_schur": lambda p: p.schur.apply(p.h),
-    "wilson_multi_k1": lambda p: p.op.apply_multi(p.vs[:1]),
-    "wilson_multi_k8": lambda p: p.op.apply_multi(p.vs),
-    "coarse_apply": lambda p: p.coarse.apply(p.vc),
-    "coarse_hop_sum": lambda p: p.coarse.apply_hopping(p.vc),
-    "coarse_diag": lambda p: p.coarse.apply_diag(p.vc),
-    "coarse_diag_inv": lambda p: p.coarse.apply_diag_inv(p.vc),
-    "coarse_schur": lambda p: p.coarse_schur.apply(p.hc),
-    "coarse_multi_k1": lambda p: p.coarse.apply_multi(p.vcs[:1]),
-    "coarse_multi_k8": lambda p: p.coarse.apply_multi(p.vcs),
-    "restrict": lambda p: p.transfer.restrict(p.v),
-    "prolong": lambda p: p.transfer.prolong(p.vc),
-    "restrict_multi_k8": lambda p: p.transfer.restrict_multi(p.vs),
-    "prolong_multi_k8": lambda p: p.transfer.prolong_multi(p.vcs),
+    "coarse_apply": (
+        lambda p: p.coarse.apply(p.vc),
+        lambda p: coarse_gather_gemm(p.coarse, p.vc[None])[0],
+    ),
+    "coarse_hop_sum": (
+        lambda p: p.coarse.apply_hopping(p.vc),
+        lambda p: coarse_gather_gemm(p.coarse, p.vc[None], with_diag=False)[0],
+    ),
+    "coarse_diag": (
+        lambda p: p.coarse.apply_diag(p.vc),
+        lambda p: coarse_diag(p.coarse, p.vc),
+    ),
+    "coarse_diag_inv": (
+        lambda p: p.coarse.apply_diag_inv(p.vc),
+        lambda p: coarse_diag_inv(p.coarse, p.vc),
+    ),
+    "coarse_schur": (
+        lambda p: p.coarse_schur.apply(p.hc),
+        lambda p: coarse_schur(p.coarse, p.hc),
+    ),
+    "coarse_multi_k1": (
+        lambda p: p.coarse.apply_multi(p.vcs[:1]),
+        lambda p: coarse_gather_gemm(p.coarse, p.vcs[:1]),
+    ),
+    "coarse_multi_k8": (
+        lambda p: p.coarse.apply_multi(p.vcs),
+        lambda p: coarse_gather_gemm(p.coarse, p.vcs),
+    ),
+    "restrict": (
+        lambda p: p.transfer.restrict(p.v),
+        lambda p: restrict(p.transfer, p.v[None])[0],
+    ),
+    "prolong": (
+        lambda p: p.transfer.prolong(p.vc),
+        lambda p: prolong(p.transfer, p.vc[None])[0],
+    ),
+    "restrict_multi_k8": (
+        lambda p: p.transfer.restrict_multi(p.vs),
+        lambda p: restrict(p.transfer, p.vs),
+    ),
+    "prolong_multi_k8": (
+        lambda p: p.transfer.prolong_multi(p.vcs),
+        lambda p: prolong(p.transfer, p.vcs),
+    ),
 }
 
 
@@ -129,125 +209,15 @@ def problem(request):
     return Problem(request.param)
 
 
-@pytest.fixture(scope="module")
-def baseline(problem):
-    """Every operation evaluated once under the NumPy baseline."""
-    with use_backend("numpy"):
-        return {name: fn(problem) for name, fn in OPERATIONS.items()}
-
-
-@pytest.mark.parametrize("backend", CANDIDATES)
+@pytest.mark.parametrize("formulation", ["einsum"])
 @pytest.mark.parametrize("operation", sorted(OPERATIONS))
-def test_backend_matches_baseline(problem, baseline, backend, operation):
-    with use_backend(backend):
-        got = OPERATIONS[operation](problem)
-    want = baseline[operation]
+def test_backend_matches_baseline(problem, formulation, operation):
+    kernel, einsum_formulation = OPERATIONS[operation]
+    got = einsum_formulation(problem)
+    want = kernel(problem)
     assert got.shape == want.shape
     err = _rel_err(got, want)
     assert err <= RTOL, (
-        f"{backend}:{operation} on {problem.ensemble} drifted from the "
-        f"numpy baseline by {err:.3e} (allowed {RTOL:.0e})"
+        f"{formulation}:{operation} on {problem.ensemble} drifted from the "
+        f"operator's kernel by {err:.3e} (allowed {RTOL:.0e})"
     )
-
-
-@pytest.mark.parametrize("backend", CANDIDATES)
-def test_backend_results_are_fresh_arrays(problem, backend):
-    """Backends must not alias their inputs (solvers mutate results)."""
-    with use_backend(backend):
-        out = problem.op.apply(problem.v)
-    assert out is not problem.v
-    assert not np.shares_memory(out, problem.v)
-
-
-# ----------------------------------------------------------------------
-# registry / selection semantics
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_baseline_always_first(self):
-        names = available_backends()
-        assert names[0] == "numpy"
-        assert {"einsum", "soa"} <= set(names)
-
-    def test_resolve_unknown_lists_choices(self):
-        with pytest.raises(KeyError, match="einsum"):
-            resolve_backend("does-not-exist")
-
-    def test_use_backend_scopes_and_restores(self):
-        before = active_backend_name()
-        with use_backend("soa"):
-            assert active_backend_name() == "soa"
-            with use_backend("einsum"):
-                assert active_backend_name() == "einsum"
-            assert active_backend_name() == "soa"
-        assert active_backend_name() == before
-
-    def test_use_backend_none_is_inert(self):
-        with use_backend("einsum"):
-            with use_backend(None) as backend:
-                assert backend.name == "einsum"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("numpy"))
-
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            register_backend(object())  # type: ignore[arg-type]
-
-    def test_custom_backend_roundtrip(self):
-        class Custom(ArrayBackend):
-            name = "test-custom"
-
-        try:
-            register_backend(Custom())
-            assert resolve_backend("test-custom").name == "test-custom"
-        finally:
-            from repro import backend as backend_mod
-
-            backend_mod._REGISTRY.pop("test-custom", None)
-
-
-# ----------------------------------------------------------------------
-# observability: the active backend is recorded everywhere rankings
-# need it (bench host metadata, solve telemetry)
-# ----------------------------------------------------------------------
-class TestBackendRecording:
-    def test_host_metadata_records_backend(self):
-        from repro.perf.ledger import host_metadata
-
-        with use_backend("soa"):
-            assert host_metadata()["backend"] == "soa"
-        assert host_metadata()["backend"] == active_backend_name()
-
-    @pytest.mark.parametrize("backend", CANDIDATES)
-    def test_solve_telemetry_records_backend(self, backend):
-        from repro.mg.params import LevelParams, MGParams
-        from repro.mg.solver import MultigridSolver
-
-        lat = Lattice((4, 4, 4, 4))
-        gauge = disordered_field(lat, np.random.default_rng(3), 0.4)
-        op = WilsonCloverOperator(gauge, mass=-0.3)
-        params = MGParams(
-            levels=[LevelParams(block=(2, 2, 2, 2), n_null=2, null_iters=5)],
-            outer_tol=1e-5,
-            backend=backend,
-        )
-        solver = MultigridSolver(op, params, rng=np.random.default_rng(11))
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal((lat.volume, 4, 3)) + 1j * rng.standard_normal(
-            (lat.volume, 4, 3)
-        )
-        result = solver.solve(b)
-        assert result.telemetry.attrs["backend"] == backend
-        batched = solver.solve_multi(np.stack([b, 2 * b]), batched=True)
-        assert all(r.telemetry.attrs["backend"] == backend for r in batched)
-
-    def test_backend_excluded_from_fingerprint(self):
-        from repro.mg.params import LevelParams, MGParams
-
-        base = MGParams(levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)])
-        swapped = MGParams(
-            levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)], backend="soa"
-        )
-        assert base.fingerprint() == swapped.fingerprint()
-        assert "backend" not in base.canonical_dict()

@@ -118,3 +118,33 @@ class TestParity:
     def test_parity_from_coords(self, lat448):
         expect = lat448.site_coords.sum(axis=1) % 2
         assert np.array_equal(lat448.parity, expect)
+
+    @given(lattice_dims())
+    def test_parity_sites_partition_the_lattice(self, dims):
+        lat = Lattice(dims)
+        even, odd = lat.sites_of_parity(0), lat.sites_of_parity(1)
+        assert len(even) == len(odd) == lat.volume // 2
+        assert np.array_equal(lat.parity_order, np.concatenate([even, odd]))
+        assert np.array_equal(np.sort(lat.parity_order), np.arange(lat.volume))
+        assert np.array_equal(
+            lat.parity_order[lat.parity_position], np.arange(lat.volume)
+        )
+
+    @given(lattice_dims())
+    def test_parity_sites_match_coordinate_parity(self, dims):
+        lat = Lattice(dims)
+        coords = lat.coords(np.arange(lat.volume))
+        parity = coords.sum(axis=1) % 2
+        assert np.array_equal(lat.sites_of_parity(0), np.flatnonzero(parity == 0))
+        assert np.array_equal(lat.sites_of_parity(1), np.flatnonzero(parity == 1))
+
+    @given(lattice_dims())
+    def test_every_hop_crosses_parity(self, dims):
+        """Nearest-neighbour hops are strictly parity-to-parity, the fact
+        the half-volume Schur kernels rely on."""
+        lat = Lattice(dims)
+        is_even = np.zeros(lat.volume, dtype=bool)
+        is_even[lat.sites_of_parity(0)] = True
+        for mu in range(NDIM):
+            assert np.array_equal(is_even[lat.fwd[mu]], ~is_even)
+            assert np.array_equal(is_even[lat.bwd[mu]], ~is_even)

@@ -9,8 +9,8 @@ from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
 from repro.mg.multi_rhs import (
     BatchedSmoother,
-    BatchedTwoLevelPreconditioner,
     batched_mg_solve,
+    batched_preconditioner_for,
 )
 from repro.solvers import norm
 from tests.conftest import random_spinor
@@ -52,7 +52,7 @@ class TestBatchedSmoother:
 class TestBatchedPreconditioner:
     def test_contracts_error_for_all_systems(self, setup):
         op, solver, bs = setup
-        pre = BatchedTwoLevelPreconditioner(solver.hierarchy)
+        pre = batched_preconditioner_for(solver.hierarchy)
         zs = pre.apply_multi(bs)
         for b, z in zip(bs, zs):
             assert norm(b - op.apply(z)) < 0.6 * norm(b)

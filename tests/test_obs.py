@@ -371,26 +371,18 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             validate_blackbox({"schema": BLACKBOX_SCHEMA, "version": 99})
 
-    def test_dump_records_active_backend(self):
-        from repro.backend import active_backend_name, use_backend
-
+    def test_dumps_with_a_recorded_backend_still_load(self):
         doc = blackbox_document(
             "failure",
             recorder=FlightRecorder(capacity=4),
             registry=MetricsRegistry(enabled=True),
             tracer=Tracer(enabled=True),
         )
-        assert doc["backend"] == active_backend_name()
-        validate_blackbox(doc)
-        assert f"backend: {doc['backend']}" in render_blackbox(doc)
-        with use_backend("einsum"):
-            doc = blackbox_document(
-                "failure",
-                recorder=FlightRecorder(capacity=4),
-                registry=MetricsRegistry(enabled=True),
-                tracer=Tracer(enabled=True),
-            )
-        assert doc["backend"] == "einsum"
+        assert "backend" not in doc
+        # dumps written while array backends were selectable carry one
+        old = dict(doc, backend="einsum")
+        validate_blackbox(old)
+        assert "reason: failure" in render_blackbox(old)
 
 
 # ----------------------------------------------------------------------

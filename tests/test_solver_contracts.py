@@ -16,13 +16,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.dirac import WilsonCloverOperator
+from repro.gauge import disordered_field
+from repro.lattice import Lattice
 from repro.solvers import (
     batched_gcr,
     bicgstab,
     block_cg,
     block_gcr,
+    ca_gmres,
     cg,
     gcr,
+    gmres,
     norm,
 )
 from strategies import dense_systems
@@ -185,3 +190,25 @@ class TestConvergenceMasking:
         results = block_gcr(op, bs, tol=TOL, maxiter=2000)
         lengths = {len(r.residual_history) for r in results}
         assert len(lengths) == 1  # frozen systems repeat their last value
+
+
+class TestNonFiniteInput:
+    """A non-finite residual norm ends a single-system solve at once,
+    unconverged, instead of burning ``maxiter`` or raising from LAPACK."""
+
+    @pytest.mark.parametrize(
+        "solver", [gcr, bicgstab, gmres, ca_gmres],
+        ids=["gcr", "bicgstab", "gmres", "ca_gmres"],
+    )
+    def test_nan_rhs_stops_at_first_residual(self, solver):
+        lat = Lattice((4, 4, 4, 4))
+        gauge = disordered_field(lat, np.random.default_rng(3), 0.5)
+        op = WilsonCloverOperator(gauge, mass=-0.2, c_sw=1.0)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((lat.volume, 4, 3)) + 0j
+        b[7, 1, 2] = np.nan
+        res = solver(op, b, tol=1e-8, maxiter=50)
+        assert not res.converged
+        assert res.iterations == 0
+        assert res.matvecs == 0
+        assert not np.isfinite(res.final_residual)

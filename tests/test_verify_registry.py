@@ -99,7 +99,7 @@ class TestBrokenOperatorIsCaught:
 
     def test_perturbed_prolongator_fails(self, tiny_hierarchy):
         transfer = tiny_hierarchy.levels[0].transfer
-        basis = transfer._basis
+        basis = transfer._basis_dag
         saved = basis.copy()
         try:
             basis += 1e-3 * np.random.default_rng(6).standard_normal(basis.shape)
@@ -137,6 +137,15 @@ class TestRuntimeMode:
         b = MGParams(levels=[lp], verify_level="solve")
         assert a.fingerprint() == b.fingerprint()
         assert "verify_level" not in a.canonical_dict()
+
+    def test_aniso40_fingerprint_is_pinned(self):
+        """Persisted setup caches are keyed by this digest: a parameter
+        block change that moves it invalidates every stored setup."""
+        from repro.workloads import ANISO40_SCALED, mg_params_for
+
+        assert mg_params_for(ANISO40_SCALED, "24/24").fingerprint() == (
+            "bf1af4b40a186d8e4aa2e5a1cc00766b2df9618d10ef704621ae778bdfbe5d91"
+        )
 
     def test_setup_verification_emits_telemetry(self, wilson448):
         params = MGParams(
